@@ -53,6 +53,9 @@ type t = {
   mem_bytes : int;
   kcpu : Cpu.t;
   lh_table : (Ids.lh_id, Logical_host.t) Hashtbl.t;
+  mutable on_residency : Ids.lh_id -> bool -> unit;
+      (* Fired at every [lh_table] insertion ([true]) and removal
+         ([false]); the directory's residency index listens here. *)
   the_host_lh : Logical_host.t;
   sys_procs : (int, Vproc.t) Hashtbl.t;
   bindings : (Ids.lh_id, Addr.t) Hashtbl.t;
@@ -385,12 +388,13 @@ let logical_hosts t =
   |> List.sort (fun a b -> Int.compare (Logical_host.id a) (Logical_host.id b))
 
 let find_lh t id = Hashtbl.find_opt t.lh_table id
+let set_residency_hook t f = t.on_residency <- f
 
 let guest_count t =
-  List.length
-    (List.filter
-       (fun lh -> Logical_host.priority lh = Cpu.Background)
-       (logical_hosts t))
+  Hashtbl.fold
+    (fun _ lh n ->
+      if Logical_host.priority lh = Cpu.Background then n + 1 else n)
+    t.lh_table 0
 
 let lookup_binding t lh = Hashtbl.find_opt t.bindings lh
 
@@ -887,6 +891,7 @@ let create_logical_host t ~priority =
   let id = Ids.Lh_allocator.fresh t.alloc in
   let lh = Logical_host.create ~id ~priority ~home:t.name in
   Hashtbl.replace t.lh_table id lh;
+  t.on_residency id true;
   lh
 
 let spawn_in t lh ~name vp body =
@@ -917,6 +922,7 @@ let destroy_logical_host t lh =
   let id = Logical_host.id lh in
   List.iter Vproc.kill (Logical_host.processes lh);
   Hashtbl.remove t.lh_table id;
+  t.on_residency id false;
   Hashtbl.remove t.fault_sources id;
   invalidate_binding t id;
   (* Wake local senders whose requests died with the host. *)
@@ -1055,6 +1061,7 @@ let extract_lh ?page_source t lh =
     (Hashtbl.copy t.outstanding);
   (* 2. The host stops being resident here. *)
   Hashtbl.remove t.lh_table id;
+  t.on_residency id false;
   invalidate_binding t id;
   (* 3. Discard queued (unreceived) requests: remote senders keep
         retransmitting and will rebind; local senders restart their send,
@@ -1138,6 +1145,7 @@ let install_lh t state =
   let lh = state.st_lh in
   let id = Logical_host.id lh in
   Hashtbl.replace t.lh_table id lh;
+  t.on_residency id true;
   (* Residency beats a stale retained-pages marker: set when a
      copy-on-reference install failed and the source resurrects the old
      copy, or when a departed host migrates back home. *)
@@ -1416,6 +1424,7 @@ let create ~engine:eng ~rng:krng ~tracer:trc ~params:prm ~net ~station:self
       mem_bytes;
       kcpu = Cpu.create ~tracer:trc eng ~quantum:prm.Os_params.cpu_quantum;
       lh_table = Hashtbl.create 16;
+      on_residency = (fun _ _ -> ());
       the_host_lh;
       sys_procs = Hashtbl.create 8;
       bindings = Hashtbl.create 32;
@@ -1452,7 +1461,9 @@ let shutdown t =
      hosts and the system processes. Logical hosts that migrated away
      run elsewhere and must survive this machine's death. *)
   Hashtbl.iter
-    (fun _ lh -> List.iter Vproc.kill (Logical_host.processes lh))
+    (fun id lh ->
+      List.iter Vproc.kill (Logical_host.processes lh);
+      t.on_residency id false)
     t.lh_table;
   Hashtbl.iter (fun _ vp -> Vproc.kill vp) t.sys_procs;
   Hashtbl.reset t.lh_table;
@@ -1487,7 +1498,9 @@ let reboot t =
      valid), but every logical host that lived here and all volatile
      kernel state are gone — correspondents must rebind via the paper's
      query protocol. The caller recreates the machine's services. *)
-  Hashtbl.replace t.lh_table (Logical_host.id t.the_host_lh) t.the_host_lh;
+  let host_id = Logical_host.id t.the_host_lh in
+  Hashtbl.replace t.lh_table host_id t.the_host_lh;
+  t.on_residency host_id true;
   t.stn <-
     Some (Ethernet.attach t.net t.self (fun frame -> handle_frame t frame));
   let ks =

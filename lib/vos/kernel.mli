@@ -191,6 +191,15 @@ val memory_free : t -> int
 
 val logical_hosts : t -> Logical_host.t list
 val find_lh : t -> Ids.lh_id -> Logical_host.t option
+
+val set_residency_hook : t -> (Ids.lh_id -> bool -> unit) -> unit
+(** [set_residency_hook t f]: from now on, every change to the set of
+    logical hosts resident here calls [f id true] once the host is
+    resident and [f id false] once it is not — on create, destroy,
+    extract, install, {!shutdown} (for each resident host) and {!reboot}.
+    One hook per kernel; setting it replaces the previous one. The
+    directory the kernel is registered with owns it. *)
+
 val guest_count : t -> int
 (** Resident logical hosts running at background (guest) priority. *)
 

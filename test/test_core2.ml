@@ -37,7 +37,9 @@ let test_env_bytes_grows_with_content () =
 
 (* {1 Context} *)
 
-let mini_kernels () =
+(* Kernels on one network sharing one logical-host allocator, built on
+   demand: [mk station name]. *)
+let kernel_factory () =
   let eng = Engine.create () in
   let rng = Rng.create 9 in
   let net = Ethernet.create eng (Rng.split rng) in
@@ -50,6 +52,10 @@ let mini_kernels () =
       ~allocator:alloc
       ~memory_bytes:(1024 * 1024)
   in
+  (eng, mk)
+
+let mini_kernels () =
+  let eng, mk = kernel_factory () in
   (eng, mk 0 "alpha", mk 1 "beta")
 
 let test_directory_locate () =
@@ -57,23 +63,191 @@ let test_directory_locate () =
   let dir = Directory.of_kernels () in
   Directory.register dir ka;
   Directory.register dir kb;
-  Alcotest.(check int) "two kernels" 2 (List.length (Directory.kernels dir));
+  let host_of k =
+    Option.map Kernel.host_name
+      (Directory.locate dir (Logical_host.id (Kernel.host_lh k)))
+  in
+  Alcotest.(check (option string)) "alpha's host lh" (Some "alpha") (host_of ka);
+  Alcotest.(check (option string)) "beta's host lh" (Some "beta") (host_of kb);
   let lh = Kernel.create_logical_host kb ~priority:Cpu.Foreground in
   (match Directory.locate dir (Logical_host.id lh) with
   | Some k -> Alcotest.(check string) "on beta" "beta" (Kernel.host_name k)
   | None -> Alcotest.fail "not located");
   Alcotest.(check bool) "current finds it" true
     (Kernel.host_name (Directory.current dir (Logical_host.id lh)) = "beta");
-  Alcotest.(check bool) "find_host" true
-    (Option.is_some (Directory.find_host dir "alpha"));
-  Alcotest.(check bool) "find_host misses" true
-    (Directory.find_host dir "gamma" = None)
+  Kernel.destroy_logical_host kb lh;
+  Alcotest.(check bool) "destroyed: not located" true
+    (Directory.locate dir (Logical_host.id lh) = None)
 
 let test_directory_current_raises_for_unknown () =
   let dir = Directory.of_kernels () in
   match Directory.current dir 424242 with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "expected Failure"
+
+(* {2 Residency index vs. a registration-order scan}
+
+   Random operation sequences over kernels sharing one allocator: every
+   way a logical host becomes or stops being resident, dual residency
+   (a migration re-installed at its source), crashes and reboots, late
+   registration, and a first lookup at a random step. After each checked
+   step the directory must answer exactly what a scan of the registered
+   kernels in registration order answers. *)
+
+type dir_op =
+  | Create of int  (** kernel *)
+  | Destroy of int * int  (** kernel, which guest *)
+  | Migrate of int * int * int  (** source, which guest, destination *)
+  | Migrate_dual of int * int * int
+      (** as [Migrate], then re-installed at the source as well *)
+  | Crash of int
+  | Reboot of int
+  | Register  (** the next not-yet-registered kernel *)
+
+let pp_dir_op = function
+  | Create k -> Printf.sprintf "create@%d" k
+  | Destroy (k, g) -> Printf.sprintf "destroy@%d#%d" k g
+  | Migrate (s, g, d) -> Printf.sprintf "migrate %d#%d->%d" s g d
+  | Migrate_dual (s, g, d) -> Printf.sprintf "migrate-dual %d#%d->%d" s g d
+  | Crash k -> Printf.sprintf "crash@%d" k
+  | Reboot k -> Printf.sprintf "reboot@%d" k
+  | Register -> "register"
+
+let dir_kernels = 6
+let dir_registered_at_start = 4
+
+let dir_scenario =
+  let open QCheck.Gen in
+  let k = int_bound (dir_kernels - 1) and g = int_bound 7 in
+  let op =
+    frequency
+      [
+        (4, map (fun k -> Create k) k);
+        (2, map2 (fun k g -> Destroy (k, g)) k g);
+        (3, map3 (fun s g d -> Migrate (s, g, d)) k g k);
+        (2, map3 (fun s g d -> Migrate_dual (s, g, d)) k g k);
+        (1, map (fun k -> Crash k) k);
+        (1, map (fun k -> Reboot k) k);
+        (1, return Register);
+      ]
+  in
+  let gen =
+    list_size (int_range 1 40) op >>= fun ops ->
+    map (fun first -> (first, ops)) (int_bound (List.length ops))
+  in
+  QCheck.make gen ~print:(fun (first, ops) ->
+      Printf.sprintf "first lookup after step %d: %s" first
+        (String.concat "; " (List.map pp_dir_op ops)))
+
+let prop_directory_matches_scan =
+  QCheck.Test.make ~name:"residency index = registration-order scan"
+    ~count:300 dir_scenario (fun (first_lookup, ops) ->
+      let _, mk = kernel_factory () in
+      let kernels =
+        Array.init dir_kernels (fun i -> mk i (Printf.sprintf "k%d" i))
+      in
+      let host_ids =
+        Array.to_list
+          (Array.map (fun k -> Logical_host.id (Kernel.host_lh k)) kernels)
+      in
+      let ids = ref host_ids in
+      let dir = Directory.of_kernels () in
+      let registered = ref 0 in
+      let register () =
+        if !registered < dir_kernels then begin
+          Directory.register dir kernels.(!registered);
+          incr registered
+        end
+      in
+      for _ = 1 to dir_registered_at_start do
+        register ()
+      done;
+      let guest k g =
+        match
+          List.filter
+            (fun lh -> not (List.mem (Logical_host.id lh) host_ids))
+            (Kernel.logical_hosts kernels.(k))
+        with
+        | [] -> None
+        | guests -> Some (List.nth guests (g mod List.length guests))
+      in
+      let migrate s g d ~dual =
+        Option.iter
+          (fun lh ->
+            if not (Logical_host.frozen lh) then Kernel.freeze_lh kernels.(s) lh;
+            let st = Kernel.extract_lh kernels.(s) lh in
+            ignore (Kernel.install_lh kernels.(d) st);
+            if dual then ignore (Kernel.install_lh kernels.(s) st))
+          (guest s g)
+      in
+      let apply = function
+        | Create k ->
+            let lh =
+              Kernel.create_logical_host kernels.(k) ~priority:Cpu.Background
+            in
+            ids := Logical_host.id lh :: !ids
+        | Destroy (k, g) ->
+            Option.iter (Kernel.destroy_logical_host kernels.(k)) (guest k g)
+        | Migrate (s, g, d) -> migrate s g d ~dual:false
+        | Migrate_dual (s, g, d) -> migrate s g d ~dual:true
+        | Crash k ->
+            if Kernel.running kernels.(k) then Kernel.shutdown kernels.(k)
+        | Reboot k ->
+            if not (Kernel.running kernels.(k)) then Kernel.reboot kernels.(k)
+        | Register -> register ()
+      in
+      let check step =
+        let unknown = 1 + List.fold_left max 0 !ids in
+        List.iter
+          (fun id ->
+            let scan =
+              List.find_opt
+                (fun k -> Kernel.find_lh k id <> None)
+                (Array.to_list (Array.sub kernels 0 !registered))
+            in
+            let name = Option.map Kernel.host_name in
+            let located = Directory.locate dir id in
+            if not (Option.equal ( == ) located scan) then
+              QCheck.Test.fail_reportf
+                "step %d, lh-%d: locate = %s, scan = %s" step id
+                (Option.value (name located) ~default:"none")
+                (Option.value (name scan) ~default:"none");
+            match (Directory.current dir id, scan) with
+            | k, Some k' when k == k' -> ()
+            | _, _ -> QCheck.Test.fail_reportf "step %d, lh-%d: current" step id
+            | exception Failure _ ->
+                if scan <> None then
+                  QCheck.Test.fail_reportf "step %d, lh-%d: current raised"
+                    step id)
+          (unknown :: !ids)
+      in
+      if first_lookup = 0 then check 0;
+      List.iteri
+        (fun i op ->
+          apply op;
+          if i + 1 >= first_lookup then check (i + 1))
+        ops;
+      true)
+
+(* The lookup every CPU quantum, I/O call and display write of every
+   program pays: at pod scale it must stay a probe, not a walk. *)
+let test_directory_current_allocates_nothing () =
+  let _, mk = kernel_factory () in
+  let dir = Directory.of_kernels () in
+  let kernels = List.init 1024 (fun i -> mk i (Printf.sprintf "ws%d" i)) in
+  List.iter (Directory.register dir) kernels;
+  let last = List.nth kernels 1023 in
+  let lh = Kernel.create_logical_host last ~priority:Cpu.Background in
+  let id = Logical_host.id lh in
+  let calls = 10_000 in
+  Alcotest.(check string) "found" "ws1023"
+    (Kernel.host_name (Directory.current dir id));
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (Directory.current dir id))
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words per call" 0. (words /. float calls)
 
 (* {1 Config} *)
 
@@ -246,6 +420,9 @@ let () =
           Alcotest.test_case "locate/current/find" `Quick test_directory_locate;
           Alcotest.test_case "unknown raises" `Quick
             test_directory_current_raises_for_unknown;
+          Alcotest.test_case "current allocates nothing at 1024 kernels" `Quick
+            test_directory_current_allocates_nothing;
+          QCheck_alcotest.to_alcotest prop_directory_matches_scan;
         ] );
       ( "config",
         [

@@ -1,30 +1,37 @@
 #!/bin/sh
-# Profile the simulator hot paths on a box with no profiler.
+# Profile the simulator hot paths without an external profiler.
 #
-# The usual tools are unavailable here: no perf, no valgrind/callgrind,
-# no gdb, and OCaml 5 dropped gprof support ("Profiling with gprof is
-# only supported up to OCaml 4.08.0"), so ocamlopt -p is out too. What
-# works everywhere:
+# perf, valgrind and gdb need not be installed, and OCaml 5 dropped
+# gprof support (ocamlopt -p). The simulator profiles itself instead:
 #
-#   1. `bench layers`  — wall-clock ns/event per stack layer (raw engine
+#   1. `tools/sample.exe pods|serve [SEED]` — a SIGPROF stack sampler:
+#      a 1 ms ITIMER_PROF timer records the OCaml call stack
+#      (Printexc.get_callstack) and the run ends with inclusive and leaf
+#      tables per function. This is the tool that attributes a
+#      whole-cluster cell's host time to a function; run it first.
+#   2. `bench layers`  — wall-clock ns/event per stack layer (raw engine
 #      dispatch, effect/suspension machinery, CPU slice loop, kernel IPC
 #      ping loop). Attribute a regression to a layer before reading code.
-#   2. `bench alloc`   — minor words allocated per event on each fast
+#   3. `bench alloc`   — minor words allocated per event on each fast
 #      path. A fast path that starts allocating shows up here long
 #      before wall-clock noise would convict it.
-#   3. `bench engine-core` — raw dispatch throughput, burst and
+#   4. `bench engine-core` — raw dispatch throughput, burst and
 #      steady-state shapes.
-#   4. OCAMLRUNPARAM=v=0x400 — GC stats on exit (minor/major collections,
+#   5. OCAMLRUNPARAM=v=0x400 — GC stats on exit (minor/major collections,
 #      words promoted). Compare before/after a change.
 #
-# Wall-clock on this class of machine is noisy (±20-30% run to run on
+# Wall-clock on a shared machine is noisy (±20-30% run to run on
 # sub-second cells); run each measurement 3+ times and compare minima.
 
 set -e
 cd "$(dirname "$0")/.."
 
-dune build bench/main.exe 2>/dev/null
+dune build bench/main.exe tools/sample.exe 2>/dev/null
 
+echo "=== stack samples: pods cell, cluster seed 1000 ==="
+./_build/default/tools/sample.exe pods 1000
+
+echo
 echo "=== per-layer cost (run 3x, compare minima) ==="
 for i in 1 2 3; do
   ./_build/default/bench/main.exe layers | grep ns/event
